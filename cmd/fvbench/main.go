@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 	freq := fs.Float64("freq", 800e6, "NP core frequency (Hz)")
 	wire := fs.Float64("wire", 40e9, "wire rate (bits/s)")
 	depth := fs.Int("depth", 1, "scheduling-tree depth below the root (flowvalve)")
-	batch := fs.Int("batch", 1, "NIC Rx service batch size (flowvalve; 1 = per-packet pipeline)")
+	batch := fs.Int("batch", 1, "NIC Rx service batch size (flowvalve; 1 = a burst of one per packet)")
 	shards := fs.Int("shards", 1, "scheduler shards (flowvalve; >1 switches to a tenant tree partitioned across shards)")
 	procs := fs.Int("procs", 0, "wall-clock parallel mode: run N scheduler shards on N producer/worker pairs and report pps scaling (bypasses the DES)")
 	nflows := fs.Int("flows", 16, "distinct transport flows offered (drive past -cache-size to exercise eviction)")

@@ -10,12 +10,12 @@
 // Usage:
 //
 //	go test -run '^$' -bench ScheduleBatch32 -benchmem -count=5 ./... |
-//	    fvbenchstat -emit BENCH_pr7.json
+//	    fvbenchstat -emit BENCH_pr10.json
 //
 //	go test -run '^$' -bench ScheduleBatch32 -benchmem -count=5 ./... |
-//	    fvbenchstat -baseline BENCH_pr7.json -match ScheduleBatch32 -threshold 0.15 -max-allocs 0
+//	    fvbenchstat -baseline BENCH_pr10.json -match ScheduleBatch32 -threshold 0.12 -max-allocs 0
 //
-//	fvbenchstat -print -baseline BENCH_pr7.json   # re-emit benchstat text
+//	fvbenchstat -print -baseline BENCH_pr10.json   # re-emit benchstat text
 package main
 
 import (

@@ -128,7 +128,8 @@ func TestHotClosureCoversKnownRoots(t *testing.T) {
 		"core.(Scheduler).scheduleBatchOwner",
 		"core.(ShardedScheduler).ScheduleBatch",
 		"classifier.(Classifier).LookupEv",
-		"classifier.(Classifier).ClassifyBatchSteerEv",
+		"classifier.(Classifier).ClassifyBatch",
+		"classifier.(Classifier).classifyGroups",
 		"nic.(NIC).beginServiceBatch",
 		"pifo.(Sched).ScheduleBatch",
 	} {

@@ -8,6 +8,7 @@ import (
 	"flowvalve/internal/headers"
 	"flowvalve/internal/packet"
 	"flowvalve/internal/sched/tree"
+	"flowvalve/internal/telemetry"
 )
 
 // This file implements the Exact Match Flow Cache as a sharded,
@@ -29,8 +30,7 @@ type CacheConfig struct {
 	// window; Capacity in CacheStats reports the effective value.
 	Size int
 	// Shards is the number of independent shards (rounded up to a power
-	// of two). More shards admit more concurrent miss-path walks and
-	// spread hit-counter contention.
+	// of two). More shards admit more concurrent miss-path walks.
 	Shards int
 }
 
@@ -41,9 +41,6 @@ const (
 	// as the CLOCK eviction window of an insert: a key lives within
 	// cacheProbeWindow slots of its home position or not at all.
 	cacheProbeWindow = 16
-	// shardPad keeps each shard's hot hit counter on its own cache line
-	// so parallel hit paths do not false-share.
-	shardPad = 64
 )
 
 func (c CacheConfig) defaults() CacheConfig {
@@ -101,12 +98,9 @@ type cacheEntry struct {
 // key that probed past it); inserts reuse it.
 var tombstone = &cacheEntry{}
 
-// cacheShard is one lock-striped slice of the table. The hit path
-// touches only slots and hits; everything else happens under mu.
+// cacheShard is one lock-striped slice of the table. The hit path only
+// reads slots; everything else happens under mu.
 type cacheShard struct {
-	hits atomic.Uint64
-	_    [shardPad - 8]byte
-
 	misses atomic.Uint64
 	evict  atomic.Uint64
 	inval  atomic.Uint64
@@ -123,6 +117,11 @@ type cacheShard struct {
 
 // flowCache is the sharded table.
 type flowCache struct {
+	// hits is striped per running P, so parallel hit paths never write
+	// a shared cache line; hitsBase is its value at the last flush.
+	hits     telemetry.Counter
+	hitsBase atomic.Int64
+
 	shards    []cacheShard
 	shardMask uint64
 	slotMask  uint64 // per-shard slot count − 1
@@ -194,7 +193,7 @@ func (fc *flowCache) get(key uint64) (sh *cacheShard, lbl *tree.Label, ok bool) 
 			if e.ref.Load() == 0 {
 				e.ref.Store(1)
 			}
-			sh.hits.Add(1)
+			fc.hits.Add(1)
 			return sh, e.lbl, true
 		}
 	}
@@ -334,6 +333,7 @@ func (fc *flowCache) invalidate(key uint64) bool {
 // flush empties every shard and resets every counter — all of them
 // together, so post-flush statistics are internally consistent.
 func (fc *flowCache) flush() {
+	fc.hitsBase.Store(fc.hits.Value())
 	for i := range fc.shards {
 		sh := &fc.shards[i]
 		sh.mu.Lock()
@@ -343,7 +343,6 @@ func (fc *flowCache) flush() {
 			}
 		}
 		sh.hand = 0
-		sh.hits.Store(0)
 		sh.misses.Store(0)
 		sh.evict.Store(0)
 		sh.inval.Store(0)
@@ -355,10 +354,13 @@ func (fc *flowCache) flush() {
 
 // stats aggregates the shard counters.
 func (fc *flowCache) stats() CacheStats {
-	st := CacheStats{Capacity: fc.capacity, Shards: len(fc.shards)}
+	st := CacheStats{
+		Hits:     uint64(fc.hits.Value() - fc.hitsBase.Load()),
+		Capacity: fc.capacity,
+		Shards:   len(fc.shards),
+	}
 	for i := range fc.shards {
 		sh := &fc.shards[i]
-		st.Hits += sh.hits.Load()
 		st.Misses += sh.misses.Load()
 		st.Evictions += sh.evict.Load()
 		st.Invalidations += sh.inval.Load()

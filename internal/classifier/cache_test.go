@@ -75,7 +75,7 @@ func TestCacheEvictionDeterminism(t *testing.T) {
 	}
 }
 
-// ClassifyBatchEv must agree with per-packet Lookup on labels and
+// ClassifyBatch must agree with per-packet Lookup on labels and
 // hit/miss accounting, on both sides of the sort-algorithm threshold.
 func TestClassifyBatchLookupEquivalence(t *testing.T) {
 	for _, n := range []int{1, 3, batchSortThreshold, batchSortThreshold + 1, 4 * batchSortThreshold} {
@@ -92,7 +92,7 @@ func TestClassifyBatchLookupEquivalence(t *testing.T) {
 		batchLbls := makeLabels(n)
 		hits := make([]bool, n)
 		evs := make([]bool, n)
-		cb.ClassifyBatchEv(ps, batchLbls, hits, evs)
+		cb.ClassifyBatch(ps, batchLbls, hits, evs, nil, nil)
 
 		cl, _ := New(tr, rules, "")
 		for i, p := range ps {
@@ -184,7 +184,7 @@ func TestCacheConcurrentTorture(t *testing.T) {
 						for j := range batch {
 							batch[j] = pkt(a, packet.FlowID(rng.Intn(8192)))
 						}
-						c.ClassifyBatchEv(batch, lbls, hits, evs)
+						c.ClassifyBatch(batch, lbls, hits, evs, nil, nil)
 					}
 				default:
 					lbl, _, _ := c.LookupEv(pkt(a, f))
@@ -218,6 +218,64 @@ func TestClassifyHitNoAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("hit path allocates %.1f per op, want 0", avg)
+	}
+	// A burst up to the sort threshold indexes on the stack: no pooled
+	// or heap scratch per call, from a burst of one upward.
+	for _, n := range []int{1, batchSortThreshold} {
+		ps := make([]*packet.Packet, n)
+		for i := range ps {
+			ps[i] = pkt(1, packet.FlowID(i%3))
+		}
+		lbls, hits, evs := makeLabels(n), make([]bool, n), make([]bool, n)
+		c.ClassifyBatch(ps, lbls, hits, evs, nil, nil)
+		if avg := testing.AllocsPerRun(1000, func() {
+			c.ClassifyBatch(ps, lbls, hits, evs, nil, nil)
+		}); avg != 0 {
+			t.Fatalf("ClassifyBatch of %d allocates %.1f per op, want 0", n, avg)
+		}
+	}
+}
+
+// The hit counter is striped per P, and batch followers publish their
+// tally once per burst; at quiescence Hits must still count every hit
+// exactly, and Flush must zero it.
+func TestCacheHitsExactUnderConcurrency(t *testing.T) {
+	tr := testTree(t)
+	c, _ := New(tr, []Rule{{App: AnyApp, Flow: AnyFlow, Class: "a"}}, "")
+	const flows, workers, rounds, burst = 64, 4, 2000, 8
+	for f := 0; f < flows; f++ {
+		c.Lookup(pkt(0, packet.FlowID(f)))
+	}
+	warm := c.Stats()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ps := make([]*packet.Packet, burst)
+			lbls, hits := makeLabels(burst), make([]bool, burst)
+			for i := 0; i < rounds; i++ {
+				c.Lookup(pkt(0, packet.FlowID((w+i)%flows)))
+				for j := range ps {
+					ps[j] = pkt(0, packet.FlowID((w+i+j/2)%flows))
+				}
+				c.ClassifyBatch(ps, lbls, hits, nil, nil, nil)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if want := warm.Hits + workers*rounds*(1+burst); st.Hits != want || st.Misses != warm.Misses {
+		t.Fatalf("hits %d misses %d, want %d and %d", st.Hits, st.Misses, want, warm.Misses)
+	}
+	c.Flush()
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("after Flush: hits %d misses %d, want 0", st.Hits, st.Misses)
+	}
+	c.Lookup(pkt(0, 1))
+	c.Lookup(pkt(0, 1))
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("after Flush and one miss+hit: hits %d misses %d", st.Hits, st.Misses)
 	}
 }
 
@@ -307,8 +365,8 @@ func BenchmarkClassifyMissEvict(b *testing.B) {
 	}
 }
 
-// ClassifyBatchSteerEv must agree with ClassifyBatchEv on labels and
-// hit accounting while steering every classified packet to its label's
+// ClassifyBatch with an owners table must agree with the unsteered call
+// on labels and hit accounting while steering every classified packet to its label's
 // shard (and unclassified packets to -1), on both sides of the
 // sort-algorithm threshold.
 func TestClassifyBatchSteerEquivalence(t *testing.T) {
@@ -342,11 +400,11 @@ func TestClassifyBatchSteerEquivalence(t *testing.T) {
 		cs, _ := New(tr, rules, "")
 		sLbls, sHits, sEvs := makeLabels(n), make([]bool, n), make([]bool, n)
 		shards := make([]int32, n)
-		cs.ClassifyBatchSteerEv(ps, sLbls, sHits, sEvs, ownersFor(tr), shards)
+		cs.ClassifyBatch(ps, sLbls, sHits, sEvs, ownersFor(tr), shards)
 
 		cb, _ := New(tr, rules, "")
 		bLbls, bHits, bEvs := makeLabels(n), make([]bool, n), make([]bool, n)
-		cb.ClassifyBatchEv(ps, bLbls, bHits, bEvs)
+		cb.ClassifyBatch(ps, bLbls, bHits, bEvs, nil, nil)
 
 		for i := range ps {
 			if sLbls[i] != bLbls[i] || sHits[i] != bHits[i] || sEvs[i] != bEvs[i] {
@@ -386,9 +444,9 @@ func TestClassifyBatchEvFollowerClearsStaleEviction(t *testing.T) {
 		lbls, hits := makeLabels(2), make([]bool, 2)
 		evs := []bool{true, true}
 		if steer {
-			c.ClassifyBatchSteerEv(ps, lbls, hits, evs, make([]int32, tr.Len()), make([]int32, 2))
+			c.ClassifyBatch(ps, lbls, hits, evs, make([]int32, tr.Len()), make([]int32, 2))
 		} else {
-			c.ClassifyBatchEv(ps, lbls, hits, evs)
+			c.ClassifyBatch(ps, lbls, hits, evs, nil, nil)
 		}
 		if evs[0] || evs[1] {
 			t.Fatalf("steer=%v: stale eviction flags survived: %v", steer, evs)

@@ -16,7 +16,6 @@ package classifier
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"flowvalve/internal/headers"
@@ -95,8 +94,8 @@ func (r Rule) entry() p4lite.Entry {
 // caching resolved labels in the sharded exact-match flow cache.
 //
 // Classifier is safe for concurrent use: hits are lock-free, misses
-// serialize per cache shard, and ClassifyBatch draws its ordering
-// scratch from a pool.
+// serialize per cache shard, and ClassifyBatch keeps its ordering
+// scratch on the caller's stack.
 type Classifier struct {
 	tree  *tree.Tree
 	pipe  *p4lite.Pipeline
@@ -105,17 +104,6 @@ type Classifier struct {
 
 	// parseErrs counts frames the parser rejected on the miss path.
 	parseErrs atomic.Uint64
-
-	// batchPool recycles ClassifyBatch index scratch so concurrent
-	// batches stay allocation-free without sharing state.
-	batchPool sync.Pool
-}
-
-// batchScratch orders one ClassifyBatch's lookups by flow key.
-//
-//fv:owner
-type batchScratch struct {
-	idx []int32
 }
 
 // New builds a classifier for t with the default flow-cache geometry.
@@ -143,7 +131,6 @@ func NewSized(t *tree.Tree, rules []Rule, defaultClass string, cache CacheConfig
 		pipe:  p4lite.NewPipeline(tbl),
 		cache: newFlowCache(cache),
 	}
-	c.batchPool.New = func() any { return new(batchScratch) }
 	if defaultClass != "" {
 		lbl, ok := t.LabelByName(defaultClass)
 		if !ok || lbl == nil {
@@ -190,62 +177,76 @@ func (c *Classifier) LookupEv(p *packet.Packet) (lbl *tree.Label, hit, evicted b
 	return lbl, false, evicted
 }
 
-// ClassifyBatch resolves the labels of a burst of packets, writing
-// labels[i] and hits[i] for ps[i] (both must be at least len(ps) long).
-// See ClassifyBatchEv for the eviction-reporting variant.
-func (c *Classifier) ClassifyBatch(ps []*packet.Packet, labels []*tree.Label, hits []bool) {
-	c.ClassifyBatchEv(ps, labels, hits, nil)
-}
-
 // batchSortThreshold is the burst length above which the grouping sort
-// switches from insertion sort to sort.SliceStable: Rx bursts are small
-// and run-heavy, where insertion sort wins, but an adversarial
-// all-distinct-flow burst makes it O(n²).
+// switches from an insertion sort over a stack index to sort.SliceStable
+// over a heap one: Rx bursts are small and run-heavy, where insertion
+// sort wins, but an adversarial all-distinct-flow burst makes it O(n²).
 const batchSortThreshold = 32
 
-// ClassifyBatchEv resolves the labels of a burst of packets, writing
-// labels[i], hits[i], and (when non-nil) evicted[i] for ps[i].
+// ClassifyBatch resolves the labels of a burst of packets, writing
+// labels[i] and hits[i] for ps[i] (both at least len(ps) long) and, when
+// evicted is non-nil, whether resolving ps[i] evicted a live cache entry.
+// When owners is non-nil — a sharded scheduling function's ClassID →
+// shard table, see dataplane.OwnerTabler — the shard steer is fused into
+// the pass: shards[i] receives the shard that owns ps[i]'s label, or -1
+// for an unclassified packet.
 //
 // The batch amortizes the exact-match flow cache: lookups are grouped by
-// flow key (a stable sort over an index scratch), so every packet of a
-// group behind its head resolves by pointer comparison instead of a
-// table probe. The stable order means the group head is the burst's
-// first-arriving packet, so hit/miss accounting — and therefore the NIC
-// model's cycle charges — is identical to calling Lookup per packet in
-// arrival order.
+// flow key (a stable sort over an index), so every packet of a group
+// behind its head resolves by pointer comparison instead of a table
+// probe, and inherits the head's shard, so a burst dominated by few
+// flows pays one steer per flow. The stable order means the group head
+// is the burst's first-arriving packet, so hit/miss accounting — and
+// therefore the NIC model's cycle charges — is identical to calling
+// LookupEv per packet in arrival order.
 //
 //fv:hotpath
-func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, hits, evicted []bool) {
+func (c *Classifier) ClassifyBatch(ps []*packet.Packet, labels []*tree.Label, hits, evicted []bool, owners, shards []int32) {
 	n := len(ps)
-	labels, hits = labels[:n], hits[:n]
-	if evicted != nil {
-		evicted = evicted[:n]
+	if n > batchSortThreshold {
+		//fv:coldpath bursts beyond batchSortThreshold exceed any NIC ring budget; a heap index and stdlib sort are fine there
+		c.classifyGroups(ps, sortedLarge(ps), labels, hits, evicted, owners, shards)
+		return
 	}
-	bs := c.batchPool.Get().(*batchScratch)
-	if cap(bs.idx) < n {
-		bs.idx = make([]int32, 0, n) //fv:coldpath pooled scratch grows to the largest burst once, then never again
+	// A stack index: a pool Get/Put per burst would cost more than a
+	// burst of one's lookup.
+	var buf [batchSortThreshold]int32
+	idx := buf[:n]
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	idx := bs.idx[:0]
-	for i := 0; i < n; i++ {
-		idx = append(idx, int32(i))
-	}
-	if n <= batchSortThreshold {
-		// Stable insertion sort by (app, flow); equal keys keep input
-		// order.
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && keyLess(ps[idx[j]], ps[idx[j-1]]); j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
+	// Stable insertion sort by (app, flow); equal keys keep input order.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && keyLess(ps[idx[j]], ps[idx[j-1]]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
-	} else {
-		//fv:coldpath bursts beyond batchSortThreshold exceed any NIC ring budget; stdlib sort is fine there
-		sort.SliceStable(idx, func(a, b int) bool { return keyLess(ps[idx[a]], ps[idx[b]]) })
 	}
+	c.classifyGroups(ps, idx, labels, hits, evicted, owners, shards)
+}
+
+// sortedLarge returns ps's indices stably sorted by flow key. It lives
+// outside ClassifyBatch so the sort closure cannot make that function's
+// stack index escape to the heap.
+func sortedLarge(ps []*packet.Packet) []int32 {
+	idx := make([]int32, len(ps))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return keyLess(ps[idx[a]], ps[idx[b]]) })
+	return idx
+}
+
+// classifyGroups is ClassifyBatch's pass over the key-sorted index idx.
+// Follower hits are tallied locally and published once per burst.
+//
+//fv:hotpath
+func (c *Classifier) classifyGroups(ps []*packet.Packet, idx []int32, labels []*tree.Label, hits, evicted []bool, owners, shards []int32) {
 	var (
-		lastKey  uint64
-		lastLbl  *tree.Label
-		lastHash uint64
-		have     bool
+		lastKey   uint64
+		lastLbl   *tree.Label
+		lastShard int32
+		have      bool
+		followers int64
 	)
 	for _, i := range idx {
 		k := packKey(ps[i].App, ps[i].Flow)
@@ -255,74 +256,13 @@ func (c *Classifier) ClassifyBatchEv(ps []*packet.Packet, labels []*tree.Label, 
 			// written even here — callers reuse the buffer across
 			// bursts, and a stale true from an earlier burst would
 			// charge a phantom eviction.
-			c.cache.shardFor(lastHash).hits.Add(1)
+			followers++
 			labels[i], hits[i] = lastLbl, true
 			if evicted != nil {
 				evicted[i] = false
 			}
-			continue
-		}
-		var ev bool
-		labels[i], hits[i], ev = c.LookupEv(ps[i])
-		if evicted != nil {
-			evicted[i] = ev
-		}
-		lastKey, lastLbl, lastHash, have = k, labels[i], mix64(k), true
-	}
-	bs.idx = idx
-	//fv:owner-ok ownership returns to the pool: this frame holds the only reference and never touches bs after the Put
-	c.batchPool.Put(bs)
-}
-
-// ClassifyBatchSteerEv is ClassifyBatchEv with scheduler-shard steering
-// fused into the classification pass: shards[i] receives the shard that
-// owns ps[i]'s label per the owners table (ClassID → shard, see
-// dataplane.OwnerTabler), or -1 for unclassified packets. The steer is
-// computed once per flow group — every follower behind a group head
-// inherits the head's shard along with its label — so a burst dominated
-// by few flows pays one table load per flow, not a dynamic dispatch per
-// packet. Drivers of sharded scheduling functions (the NIC's burst
-// service) use this to fill their per-shard feed lanes.
-//
-//fv:hotpath
-func (c *Classifier) ClassifyBatchSteerEv(ps []*packet.Packet, labels []*tree.Label, hits, evicted []bool, owners []int32, shards []int32) {
-	n := len(ps)
-	labels, hits, shards = labels[:n], hits[:n], shards[:n]
-	if evicted != nil {
-		evicted = evicted[:n]
-	}
-	bs := c.batchPool.Get().(*batchScratch)
-	if cap(bs.idx) < n {
-		bs.idx = make([]int32, 0, n) //fv:coldpath pooled scratch grows to the largest burst once, then never again
-	}
-	idx := bs.idx[:0]
-	for i := 0; i < n; i++ {
-		idx = append(idx, int32(i))
-	}
-	if n <= batchSortThreshold {
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && keyLess(ps[idx[j]], ps[idx[j-1]]); j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
-		}
-	} else {
-		//fv:coldpath bursts beyond batchSortThreshold exceed any NIC ring budget; stdlib sort is fine there
-		sort.SliceStable(idx, func(a, b int) bool { return keyLess(ps[idx[a]], ps[idx[b]]) })
-	}
-	var (
-		lastKey   uint64
-		lastLbl   *tree.Label
-		lastHash  uint64
-		lastShard int32
-		have      bool
-	)
-	for _, i := range idx {
-		k := packKey(ps[i].App, ps[i].Flow)
-		if have && k == lastKey {
-			c.cache.shardFor(lastHash).hits.Add(1)
-			labels[i], hits[i], shards[i] = lastLbl, true, lastShard
-			if evicted != nil {
-				evicted[i] = false // see ClassifyBatchEv: reused buffers must not leak stale evictions
+			if owners != nil {
+				shards[i] = lastShard
 			}
 			continue
 		}
@@ -331,16 +271,16 @@ func (c *Classifier) ClassifyBatchSteerEv(ps []*packet.Packet, labels []*tree.La
 		if evicted != nil {
 			evicted[i] = ev
 		}
-		lastShard = -1
-		if lbl := labels[i]; lbl != nil {
-			lastShard = owners[lbl.Leaf.ID]
+		if owners != nil {
+			lastShard = -1
+			if lbl := labels[i]; lbl != nil {
+				lastShard = owners[lbl.Leaf.ID]
+			}
+			shards[i] = lastShard
 		}
-		shards[i] = lastShard
-		lastKey, lastLbl, lastHash, have = k, labels[i], mix64(k), true
+		lastKey, lastLbl, have = k, labels[i], true
 	}
-	bs.idx = idx
-	//fv:owner-ok ownership returns to the pool: this frame holds the only reference and never touches bs after the Put
-	c.batchPool.Put(bs)
+	c.cache.hits.Add(followers)
 }
 
 // keyLess orders packets by flow key for batch grouping.

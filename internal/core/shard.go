@@ -357,8 +357,8 @@ func (ss *ShardedScheduler) OwnerTable() []int32 { return ss.owner }
 // Settles reports how many settlement reconciliations have run.
 func (ss *ShardedScheduler) Settles() int64 { return ss.settles.Load() }
 
-// Schedule implements dataplane.Scheduler inline: route the packet to
-// its owner shard on the caller's goroutine.
+// Schedule decides one packet inline: route it to its owner shard on
+// the caller's goroutine.
 //
 //fv:hotpath
 func (ss *ShardedScheduler) Schedule(lbl *tree.Label, size int) Decision {

@@ -6,11 +6,11 @@
 //
 // Two planes are covered:
 //
-//   - Scheduler is the label-level hot path (Algorithm 1): a synchronous
-//     forwarding decision per packet, with a batched variant that
-//     amortizes clock reads, epoch checks, and estimator updates across a
-//     burst — the software analogue of the NP running many packet
-//     contexts through one pipeline pass.
+//   - Scheduler is the label-level hot path (Algorithm 1): synchronous
+//     forwarding decisions for a burst of packets, amortizing clock
+//     reads, epoch checks, and estimator updates across the burst — the
+//     software analogue of the NP running many packet contexts through
+//     one pipeline pass. A burst of one is the per-packet decision.
 //
 //   - Qdisc is the discrete-event backend: packets go in via Enqueue,
 //     deliveries and drops come back via Callbacks, and cumulative
@@ -93,16 +93,13 @@ type Request struct {
 // Scheduler is the label-level scheduling function: Algorithm 1 as a
 // synchronous call. Implementations must be safe for concurrent use.
 type Scheduler interface {
-	// Schedule decides the fate of one packet of `size` bytes carrying
-	// QoS label lbl.
-	Schedule(lbl *tree.Label, size int) Decision
 	// ScheduleBatch decides a burst of packets in one pass, writing
-	// out[i] for reqs[i]. len(out) must be at least len(reqs). The
-	// verdict sequence is identical to calling Schedule per request at
-	// batch size 1; at larger sizes per-packet work (clock reads, epoch
-	// checks, estimator updates, trace emission) is amortized across
-	// the batch while admitted byte totals stay conformant to the same
-	// policy (the token supply is epoch-driven, not call-driven).
+	// out[i] for reqs[i]. len(out) must be at least len(reqs). A burst
+	// of one is the per-packet decision; at larger sizes per-packet work
+	// (clock reads, epoch checks, estimator updates, trace emission) is
+	// amortized across the batch while admitted byte totals stay
+	// conformant to the same policy (the token supply is epoch-driven,
+	// not call-driven).
 	ScheduleBatch(reqs []Request, out []Decision)
 }
 

@@ -35,8 +35,8 @@ func WithTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) ScenarioOption
 
 // WithNICBatch sets the SmartNIC model's Rx service burst for FlowValve
 // runs: workers pull up to n ring packets per service routine and push
-// them through the batched classify/schedule path (n ≤ 1 keeps the
-// per-packet pipeline).
+// them through one classify/schedule pass (n ≤ 1 services every packet
+// as a burst of one).
 func WithNICBatch(n int) ScenarioOption {
 	return func(sc *TCPScenario) {
 		sc.NIC.BatchSize = n

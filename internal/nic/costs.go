@@ -21,10 +21,9 @@ type CostModel struct {
 	Pipeline int64
 	// PipelineBatch is the share of Pipeline that is fixed per service
 	// batch rather than per packet (ring doorbell read, buffer credit
-	// pull, reorder-slot allocation). A batched service routine charges
-	// PipelineBatch once plus Pipeline−PipelineBatch per packet, so at
-	// BatchSize 1 the charge is exactly Pipeline and the unbatched
-	// model is unchanged.
+	// pull, reorder-slot allocation). A service routine charges
+	// PipelineBatch once plus Pipeline−PipelineBatch per packet, so a
+	// burst of one is charged exactly Pipeline.
 	PipelineBatch int64
 	// Parse is header parsing up to the classification key.
 	Parse int64

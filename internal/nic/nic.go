@@ -122,7 +122,7 @@ type Config struct {
 	// CostModel.PipelineBatch share) are charged once, mirroring the
 	// NP's context pipelining. Bursts form under backpressure; an
 	// unloaded NIC still services packets as they arrive. The default
-	// of 1 preserves the unbatched per-packet pipeline exactly.
+	// of 1 services every packet as a burst of one.
 	BatchSize int
 	// ShardRingPkts bounds each scheduler-shard feed ring when the
 	// attached scheduling function is sharded (dataplane.Sharder with
@@ -229,10 +229,10 @@ type NIC struct {
 	sched atomic.Pointer[schedRef]
 	cb    Callbacks
 
-	// Batch-mode scratch (allocated once when BatchSize > 1): the
-	// in-flight service burst and its per-packet classification,
-	// scheduling, and outcome state. A service routine runs to
-	// completion within one event, so one set suffices.
+	// Burst scratch (allocated once in New): the in-flight service burst
+	// and its per-packet classification, scheduling, and outcome state.
+	// A service routine runs to completion within one event, so one set
+	// suffices.
 	batchBuf    []*packet.Packet
 	batchLbls   []*tree.Label
 	batchHits   []bool
@@ -291,13 +291,12 @@ type NIC struct {
 }
 
 // schedRef boxes the scheduler interface for atomic storage, together
-// with the sharding capability probed once at install time: the shard
-// count, the steering function, and the per-shard feed-lane model the
-// burst service charges against. For a single-shard scheduler the
-// extras stay nil/1 and the service path is untouched.
+// with the sharding capability probed once at install time: the steering
+// table and the per-shard feed-lane model the burst service charges
+// against. For a single-shard scheduler both stay nil and the service
+// path is untouched.
 type schedRef struct {
-	s      dataplane.Scheduler
-	shards int
+	s dataplane.Scheduler
 	// owners is the ClassID → owning-shard steer table (nil when
 	// unsharded): the classifier's fused steer pass indexes it directly
 	// instead of dispatching through a function value per flow group.
@@ -330,7 +329,7 @@ func (ref *schedRef) scheduleBatch(reqs []dataplane.Request, out []dataplane.Dec
 
 // newSchedRef probes s for sharding and builds its installable ref.
 func (n *NIC) newSchedRef(s dataplane.Scheduler) *schedRef {
-	ref := &schedRef{s: s, shards: 1}
+	ref := &schedRef{s: s}
 	if s != nil {
 		switch cs := s.(type) {
 		case *core.Scheduler:
@@ -339,7 +338,6 @@ func (n *NIC) newSchedRef(s dataplane.Scheduler) *schedRef {
 			ref.sharded = cs
 		}
 		if k, sh := dataplane.ShardsOf(s); sh != nil {
-			ref.shards = k
 			ref.owners = ownerTable(sh, n.cls.Tree())
 			ref.lanes = sim.NewLanes(k, n.cfg.ShardRingPkts)
 		}
@@ -428,19 +426,18 @@ func New(eng *sim.Engine, cfg Config, cls *classifier.Classifier, sched dataplan
 	for i := range n.ports {
 		n.ports[i] = &wirePort{queue: pktq.New(0, cfg.TMQueueBytes)}
 	}
-	if b := cfg.BatchSize; b > 1 {
-		n.batchBuf = make([]*packet.Packet, 0, b)
-		n.batchLbls = make([]*tree.Label, b)
-		n.batchHits = make([]bool, b)
-		n.batchEvict = make([]bool, b)
-		n.batchReqs = make([]dataplane.Request, 0, b)
-		n.batchDecs = make([]dataplane.Decision, b)
-		n.batchFwd = make([]bool, b)
-		n.batchReason = make([]DropReason, b)
-		n.batchShard = make([]int32, b)
-		n.batchShardDrop = make([]bool, b)
-		n.batchSlowLeaf = make([]*tree.Class, b)
-	}
+	b := cfg.BatchSize
+	n.batchBuf = make([]*packet.Packet, 0, b)
+	n.batchLbls = make([]*tree.Label, b)
+	n.batchHits = make([]bool, b)
+	n.batchEvict = make([]bool, b)
+	n.batchReqs = make([]dataplane.Request, 0, b)
+	n.batchDecs = make([]dataplane.Decision, b)
+	n.batchFwd = make([]bool, b)
+	n.batchReason = make([]DropReason, b)
+	n.batchShard = make([]int32, b)
+	n.batchShardDrop = make([]bool, b)
+	n.batchSlowLeaf = make([]*tree.Class, b)
 	return n, nil
 }
 
@@ -525,13 +522,14 @@ func (n *NIC) Inject(p *packet.Packet) {
 		n.drop(p, DropRxRing)
 		return
 	}
-	if n.cfg.BatchSize > 1 {
-		n.injectBatched(p)
-		return
-	}
-	if c := n.grabCluster(); c != nil {
-		n.beginService(p, c)
-		return
+	// At batch size 1 a free context takes the packet directly, as a
+	// burst of one, leaving the rings' round-robin cursor untouched.
+	single := n.cfg.BatchSize == 1
+	if single {
+		if c := n.grabCluster(); c != nil {
+			n.beginServiceBatch(append(n.batchBuf[:0], p), c)
+			return
+		}
 	}
 	ring := n.ringFor(p.App)
 	if (n.ringClamp > 0 && ring.Len() >= n.ringClamp) || !ring.TryPush(p) {
@@ -546,28 +544,14 @@ func (n *NIC) Inject(p *packet.Packet) {
 	if n.tel != nil {
 		n.tel.ringPkts.Add(1)
 	}
-}
-
-// injectBatched routes an arriving packet through its Rx ring and, when
-// a context is free, immediately services a burst of up to BatchSize
-// ring packets. Bursts materialize under backpressure (contexts busy,
-// rings backlogged); an idle NIC still services singly.
-func (n *NIC) injectBatched(p *packet.Packet) {
-	ring := n.ringFor(p.App)
-	if (n.ringClamp > 0 && ring.Len() >= n.ringClamp) || !ring.TryPush(p) {
-		n.stats.RxRingDrops++
-		if n.tel != nil {
-			n.tel.dropRxRing.Add(1)
+	// Larger bursts queue every arrival, and a free context services up
+	// to BatchSize ring packets at once. Bursts materialize under
+	// backpressure (contexts busy, rings backlogged); an idle NIC still
+	// services singly.
+	if !single {
+		if c := n.grabCluster(); c != nil {
+			n.serviceBatch(c)
 		}
-		n.freeBuffer()
-		n.drop(p, DropRxRing)
-		return
-	}
-	if n.tel != nil {
-		n.tel.ringPkts.Add(1)
-	}
-	if c := n.grabCluster(); c != nil {
-		n.serviceBatch(c)
 	}
 }
 
@@ -602,110 +586,6 @@ func (n *NIC) ringFor(app packet.AppID) *pktq.FIFO {
 	return ring
 }
 
-// beginService runs the run-to-completion pipeline for one packet on a
-// worker core: classify, schedule, and (after the modelled service time)
-// hand the completion to the reorder system.
-func (n *NIC) beginService(p *packet.Packet, cl *cluster) {
-	seq := n.seqIssue
-	n.seqIssue++
-
-	lbl, hit, evicted := n.cls.LookupEv(p)
-
-	cycles := n.cfg.Costs.Pipeline + n.cfg.Costs.Parse
-	if hit {
-		cycles += n.cfg.Costs.CacheHit
-	} else {
-		cycles += n.cfg.Costs.CacheMiss
-		if evicted {
-			cycles += n.cfg.Costs.CacheEvict
-		}
-	}
-
-	// Offload lookup: the flow-binding check against the rule table.
-	// Packets of un-offloaded flows pay the exception-path charge here
-	// and the host detour below (only if they survive scheduling).
-	fast := true
-	if n.off != nil && lbl != nil {
-		fast = n.off.ctl.Observe(p.App, p.Flow, p.WireBytes())
-		if !fast {
-			cycles += n.cfg.Costs.SlowPath
-		}
-	}
-
-	ref := n.sched.Load()
-	sched := ref.s
-	forward := true
-	var reason DropReason
-	switch {
-	case lbl == nil:
-		forward = false
-		reason = DropUnclassified
-	case sched != nil:
-		if ref.shards > 1 {
-			// Single-packet service still steers to the owner shard
-			// and rings its doorbell; a lone packet cannot overflow a
-			// feed lane, so no occupancy model is needed here.
-			cycles += n.cfg.Costs.ShardSteer + n.cfg.Costs.ShardDoorbell
-		}
-		// Tokens are charged in wire bytes (frame + preamble/IFG):
-		// the policy rates are link rates, and charging frame bytes
-		// only would over-subscribe the wire by the per-frame
-		// overhead (the linklayer overhead accounting of real
-		// shapers).
-		d := sched.Schedule(lbl, p.WireBytes())
-		cycles += n.cfg.Costs.SchedPerClass*int64(len(lbl.Path)) + n.cfg.Costs.Meter
-		cycles += n.cfg.Costs.Update * int64(d.Updates)
-		if d.Verdict == dataplane.Drop || d.Borrowed {
-			// Red leaf meter ⇒ the borrow chain was walked (fully
-			// on drop, partially on a successful borrow).
-			cycles += n.cfg.Costs.Borrow * int64(len(lbl.Borrow))
-		}
-		if d.Verdict == dataplane.Drop {
-			forward = false
-			reason = DropSched
-		}
-		p.Marked = d.Marked
-	}
-	// A forwarded packet of an un-offloaded flow detours through the
-	// scheduled host slow path; admission (and any shed) happens at
-	// completion time against the slow path's backlog then.
-	var slowLeaf *tree.Class
-	if forward && !fast {
-		slowLeaf = lbl.Leaf
-	}
-	if forward {
-		cycles += n.cfg.Costs.TxEnqueue
-	}
-
-	n.stats.BusyCycles += float64(cycles)
-	if n.tel != nil {
-		n.tel.busyCycles.Add(cycles)
-	}
-	for i, c := range n.clusters {
-		if c == cl {
-			n.stats.ClusterBusyCycles[i] += float64(cycles)
-			break
-		}
-	}
-
-	// Latency includes the memory stalls; ME occupancy hides them
-	// behind the other thread contexts (§III-B). The ME is released to
-	// pull its next packet after the occupancy time; the packet itself
-	// completes (reorder system → traffic manager) after the full
-	// latency.
-	total := cycles + n.cfg.Costs.MemStall
-	occupancy := (total + int64(n.cfg.ThreadsPerME) - 1) / int64(n.cfg.ThreadsPerME)
-	if occupancy < cycles {
-		occupancy = cycles
-	}
-	occupancyNs := int64(float64(occupancy) / n.cfg.CoreFreqHz * 1e9)
-	latencyNs := int64(float64(total) / n.cfg.CoreFreqHz * 1e9)
-	n.eng.After(occupancyNs, func() { n.releaseContext(cl) })
-	n.eng.After(latencyNs, func() {
-		n.completeService(p, seq, forward, reason, slowLeaf)
-	})
-}
-
 // releaseContext returns a micro-engine context to service: it pulls the
 // next waiting packet (or burst) or goes idle. A pending stall window
 // with outstanding debt captures the context instead (see StallCores).
@@ -713,15 +593,7 @@ func (n *NIC) releaseContext(cl *cluster) {
 	if len(n.stalls) > 0 && n.parkIfStalled(cl) {
 		return
 	}
-	if n.cfg.BatchSize > 1 {
-		n.serviceBatch(cl)
-		return
-	}
-	if next := n.pullNext(); next != nil {
-		n.beginService(next, cl)
-	} else {
-		cl.idle++
-	}
+	n.serviceBatch(cl)
 }
 
 // beginServiceBatch runs the run-to-completion pipeline for a burst of
@@ -743,38 +615,32 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 	// per flow group), each classified packet fills its owner shard's
 	// bounded lane, and an overfull lane drops it before scheduling;
 	// the shard engines drain all lanes within this service event.
+	// Tokens are charged in wire bytes (frame + preamble/IFG): the
+	// policy rates are link rates, and charging frame bytes only would
+	// over-subscribe the wire by the per-frame overhead (the linklayer
+	// overhead accounting of real shapers).
 	ref := n.sched.Load()
 	sched := ref.s
-	if ref.lanes != nil {
-		n.cls.ClassifyBatchSteerEv(batch, lbls, hits, evs, ref.owners, n.batchShard[:k])
-	} else {
-		n.cls.ClassifyBatchEv(batch, lbls, hits, evs)
-	}
+	n.cls.ClassifyBatch(batch, lbls, hits, evs, ref.owners, n.batchShard[:k])
 	var decs []dataplane.Decision
 	doorbells := 0
 	if sched != nil {
 		reqs := n.batchReqs[:0]
-		if ref.lanes != nil {
-			shardDrop := n.batchShardDrop[:k]
-			for i := 0; i < k; i++ {
-				if lbls[i] == nil {
-					continue
-				}
-				if !ref.lanes.Offer(int(n.batchShard[i])) {
-					shardDrop[i] = true
-					continue
-				}
-				shardDrop[i] = false
-				reqs = append(reqs, dataplane.Request{Label: lbls[i], Size: batch[i].WireBytes()})
+		for i := 0; i < k; i++ {
+			if lbls[i] == nil {
+				continue
 			}
+			if ref.lanes != nil {
+				n.batchShardDrop[i] = !ref.lanes.Offer(int(n.batchShard[i]))
+				if n.batchShardDrop[i] {
+					continue
+				}
+			}
+			reqs = append(reqs, dataplane.Request{Label: lbls[i], Size: batch[i].WireBytes()})
+		}
+		if ref.lanes != nil {
 			doorbells = ref.lanes.Touched()
 			ref.lanes.DrainAll()
-		} else {
-			for i := 0; i < k; i++ {
-				if lbls[i] != nil {
-					reqs = append(reqs, dataplane.Request{Label: lbls[i], Size: batch[i].WireBytes()})
-				}
-			}
 		}
 		n.batchReqs = reqs[:0]
 		if len(reqs) > 0 {
@@ -801,9 +667,11 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 				pc += n.cfg.Costs.CacheEvict
 			}
 		}
-		// Offload lookup, as in the per-packet path: shard-dropped
-		// packets are still observed (the flow-binding check precedes
-		// the feed-lane offer on the NP pipeline).
+		// Offload lookup: the flow-binding check against the rule
+		// table. Packets of un-offloaded flows pay the exception-path
+		// charge here and the host detour at completion (only if they
+		// survive scheduling). Shard-dropped packets are still observed:
+		// the check precedes the feed-lane offer on the NP pipeline.
 		fast := true
 		if n.off != nil && lbls[i] != nil {
 			fast = n.off.ctl.Observe(p.App, p.Flow, p.WireBytes())
@@ -832,6 +700,8 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 			pc += n.cfg.Costs.SchedPerClass*int64(len(lbls[i].Path)) + n.cfg.Costs.Meter
 			pc += n.cfg.Costs.Update * int64(d.Updates)
 			if d.Verdict == dataplane.Drop || d.Borrowed {
+				// Red leaf meter ⇒ the borrow chain was walked (fully
+				// on drop, partially on a successful borrow).
 				pc += n.cfg.Costs.Borrow * int64(len(lbls[i].Borrow))
 			}
 			if d.Verdict == dataplane.Drop {
@@ -865,8 +735,10 @@ func (n *NIC) beginServiceBatch(batch []*packet.Packet, cl *cluster) {
 
 	// One memory-stall window per burst: the batch's contexts overlap
 	// their stalls exactly as the ME's thread contexts do (§III-B), so
-	// the stall shows up once in latency and is hidden from occupancy
-	// by the thread contexts as in the per-packet path.
+	// the stall shows up once in latency and is hidden from occupancy by
+	// the thread contexts. The ME is released to pull its next burst
+	// after the occupancy time; each packet completes (reorder system →
+	// traffic manager) after the full latency.
 	total := cycles + n.cfg.Costs.MemStall
 	occupancy := (total + int64(n.cfg.ThreadsPerME) - 1) / int64(n.cfg.ThreadsPerME)
 	if occupancy < cycles {

@@ -14,7 +14,7 @@ import (
 const virtualMTU = 1500
 
 // Sched is the label-plane face of a pifo-family backend: a synchronous
-// admit/drop decision (dataplane.Scheduler, including ScheduleBatch)
+// admit/drop decision (dataplane.Scheduler, plus a per-packet Schedule)
 // against a virtual queue drained at the link rate. It is the same
 // algorithmic shape as FlowValve's Algorithm 1 — rank the packet, test
 // the backend's admission filter, forward or drop — so fvbench drives
@@ -95,7 +95,8 @@ func (s *Sched) Stats() (forwarded, dropped uint64) {
 	return forwarded, dropped
 }
 
-// Schedule implements dataplane.Scheduler.
+// Schedule decides one packet: ScheduleBatch's reference at batch
+// size 1, pinned by the conformance suite.
 //
 //fv:hotpath
 func (s *Sched) Schedule(lbl *tree.Label, size int) dataplane.Decision {

@@ -80,13 +80,34 @@ type counterShard struct {
 // NP model's worker-goroutine counts without measurable collision cost.
 const counterShards = 16
 
-// shardIndex derives a cheap shard hint from the address of a stack
-// variable: goroutine stacks are disjoint, so concurrent writers spread
-// across shards. It is only a hint — any value is correct, collisions
-// merely contend.
+// shardIndex picks a Counter's write shard: the id of the P (scheduler
+// processor) running the caller. At most one goroutine runs on a P at a
+// time, so with up to counterShards Ps concurrent writers never share a
+// shard. The id is only a hint — the goroutine may migrate right after
+// reading it, and any value is correct; a collision merely contends.
 func shardIndex() int {
+	id := procPin()
+	procUnpin()
+	return id & (counterShards - 1)
+}
+
+// procPin and procUnpin are the runtime's P-pinning pair (the one
+// sync.Pool uses for its per-P caches); pinning is the only way to read
+// the current P's id.
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
+
+// stackHint derives the tracer's lane hint from the address of a stack
+// variable: goroutine stacks are disjoint, so concurrent writers spread
+// across lanes, and unlike the P id a single goroutine keeps its lane,
+// which keeps seeded trace drains reproducible.
+func stackHint() uintptr {
 	var b byte
-	return int(uintptr(unsafe.Pointer(&b))>>10) & (counterShards - 1)
+	return uintptr(unsafe.Pointer(&b)) >> 10
 }
 
 // Counter is a monotonically increasing sharded atomic counter. The zero

@@ -141,7 +141,7 @@ func (t *Tracer) Record(ev Event) {
 	if t == nil {
 		return
 	}
-	sh := &t.shards[laneFor(ev.Verdict, uintptr(shardIndex()))]
+	sh := &t.shards[laneFor(ev.Verdict, stackHint())]
 	if (sh.seen.Add(1)-1)&t.mask != 0 {
 		return
 	}
@@ -153,7 +153,7 @@ func (t *Tracer) Write(ev Event) {
 	if t == nil {
 		return
 	}
-	t.writeShard(&t.shards[laneFor(ev.Verdict, uintptr(shardIndex()))], ev)
+	t.writeShard(&t.shards[laneFor(ev.Verdict, stackHint())], ev)
 }
 
 func (t *Tracer) writeShard(sh *traceShard, ev Event) {
